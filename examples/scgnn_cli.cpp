@@ -88,6 +88,7 @@
 //   scgnn_cli --parts 16 --topology hier:4x4 --collective hier
 //             --membership leave:5@d3,join:10@d3   (one command line)
 //   scgnn_cli --dataset pubmed --save /tmp/pubmed && scgnn_cli --load /tmp/pubmed
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -109,6 +110,19 @@ using namespace scgnn;
     std::fprintf(stderr, "error: %s\n(see the header of scgnn_cli.cpp for "
                          "usage)\n", msg);
     std::exit(2);
+}
+
+// A whole-string decimal count of at least `lo` that fits in 32 bits;
+// garbage, trailing text, a sign or overflow is bad usage.
+std::uint32_t parse_count(const char* flag, const char* s, std::uint32_t lo) {
+    std::uint32_t v = 0;
+    const char* end = s + std::strlen(s);
+    const auto [ptr, ec] = std::from_chars(s, end, v);
+    if (ec != std::errc{} || ptr != end || v < lo)
+        usage((std::string("bad ") + flag + " '" + s +
+               "' (expected an integer >= " + std::to_string(lo) + ")")
+                  .c_str());
+    return v;
 }
 
 graph::DatasetPreset parse_preset(const std::string& s) {
@@ -172,11 +186,11 @@ int main(int argc, char** argv) {
         else if (!std::strcmp(argv[i], "--save")) save_dir = need("--save");
         else if (!std::strcmp(argv[i], "--scale")) scale = std::atof(need("--scale"));
         else if (!std::strcmp(argv[i], "--parts"))
-            cfg.num_parts = std::atoi(need("--parts"));
+            cfg.num_parts = parse_count("--parts", need("--parts"), 2);
         else if (!std::strcmp(argv[i], "--epochs"))
-            cfg.train.epochs = std::atoi(need("--epochs"));
+            cfg.train.epochs = parse_count("--epochs", need("--epochs"), 1);
         else if (!std::strcmp(argv[i], "--layers"))
-            cfg.model.num_layers = std::atoi(need("--layers"));
+            cfg.model.num_layers = parse_count("--layers", need("--layers"), 1);
         else if (!std::strcmp(argv[i], "--method"))
             set_method(cfg.method, need("--method"));
         else if (!std::strcmp(argv[i], "--partition"))
@@ -269,6 +283,15 @@ int main(int argc, char** argv) {
         st.add_row({"cache hit rate", Table::pct(s.hit_rate)});
         st.add_row({"halo MB fetched", Table::num(s.halo_mb, 3)});
         std::printf("%s", st.str().c_str());
+        std::fflush(stdout);
+        if (s.clamped > 0)
+            std::fprintf(stderr,
+                         "warning: %llu of %llu latencies reached the "
+                         "%.0f ms histogram ceiling; the quantiles above "
+                         "are lower bounds (see mean latency)\n",
+                         static_cast<unsigned long long>(s.clamped),
+                         static_cast<unsigned long long>(s.queries),
+                         scenario.config().serve.hist_max_ms);
         if (!obs_out.empty() && obs::finish())
             std::printf("observability: wrote %s.trace.json and "
                         "%s.report.json\n", obs_out.c_str(), obs_out.c_str());

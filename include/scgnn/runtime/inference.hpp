@@ -15,7 +15,6 @@
 /// run is bitwise reproducible at any thread count.
 
 #include <cstdint>
-#include <unordered_set>
 #include <vector>
 
 #include "scgnn/comm/fabric.hpp"
@@ -41,7 +40,7 @@ struct ServeConfig {
     /// against).
     bool halo_cache = true;
     /// Cache/fetch at semantic-group granularity (one fused row per
-    /// group, keyed by group signature). Off = raw per-row units.
+    /// group serves every member). Off = raw per-row units.
     bool semantic = true;
     std::uint32_t layers = 2;     ///< aggregation hops a query resolves
     std::uint32_t embed_dim = 64; ///< served embedding width (fetch bytes)
@@ -70,6 +69,10 @@ struct ServeResult {
     std::uint64_t cache_misses = 0;
     double hit_rate = 0.0;  ///< hits / (hits + misses), 0 when no touches
     double halo_mb = 0.0;   ///< fetched halo bytes / 1e6
+    /// Latencies at or above ServeConfig::hist_max_ms. The histogram folds
+    /// them into its top bin, so when this is non-zero the quantiles are
+    /// lower bounds (mean_ms and max_ms stay exact).
+    std::uint64_t clamped = 0;
 };
 
 /// Deterministic open-loop serving simulator. Build once per dataset +
@@ -89,21 +92,27 @@ public:
     }
 
 private:
-    /// Resolve the remote halo units of query node `v` (appended to
-    /// `units`, one signature per unit) and return the number of nodes its
-    /// L-hop neighborhood touches (the compute term).
-    std::size_t resolve_units(std::uint32_t v,
-                              std::vector<std::uint64_t>& units,
-                              std::vector<std::uint32_t>& unit_owner) const;
+    /// Halo-unit table of home device `home`: `unit_of[u]` is the dense
+    /// unit id of remote node u (members of one semantic group share it;
+    /// ~0 for nodes `home` owns) and `unit_owner[id]` the device it is
+    /// fetched from. Built once per device per run().
+    void unit_table(std::uint32_t home, std::vector<std::uint32_t>& unit_of,
+                    std::vector<std::uint32_t>& unit_owner) const;
+
+    /// The L-hop neighborhood of query node `v` in BFS discovery order
+    /// (v first), written to `visited`. `seen` is the per-node membership
+    /// stamp array; `stamp` must be fresh for each query.
+    void ball(std::uint32_t v, std::uint32_t stamp,
+              std::vector<std::uint32_t>& visited,
+              std::vector<std::uint32_t>& seen) const;
 
     ServeConfig cfg_;
     dist::DistContext ctx_;
     tensor::SparseMatrix adj_;  ///< global normalised adjacency (BFS edges)
     std::uint32_t num_nodes_ = 0;
-    /// (src·P+dst) → plan index or −1, for boundary-row lookups.
-    std::vector<std::int64_t> plan_of_pair_;
-    /// Per plan: group id per plan row (−1 = raw), empty when !semantic.
-    std::vector<std::vector<std::int32_t>> group_of_;
+    /// Per plan: the first row of each row's semantic group (the row
+    /// itself when raw), empty when !semantic.
+    std::vector<std::vector<std::uint32_t>> lead_row_;
 };
 
 } // namespace scgnn::runtime

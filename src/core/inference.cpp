@@ -4,7 +4,6 @@
 #include "scgnn/runtime/inference.hpp"
 
 #include <algorithm>
-#include <map>
 
 #include "scgnn/common/rng.hpp"
 #include "scgnn/common/stats.hpp"
@@ -17,14 +16,9 @@ namespace scgnn::runtime {
 
 namespace {
 
-/// Unit signature: a splitmix64 fold over a tag and two coordinates, so
-/// group units, raw-row units and off-plan node units never collide.
-std::uint64_t unit_sig(std::uint64_t tag, std::uint64_t a, std::uint64_t b) {
-    std::uint64_t s = tag;
-    s = splitmix64(s) ^ a;
-    s = splitmix64(s) ^ b;
-    return splitmix64(s);
-}
+/// unit_of entry of a node the home device owns (no halo unit); also the
+/// "no row yet" mark while group leaders are found.
+constexpr std::uint32_t kLocal = ~std::uint32_t{0};
 
 } // namespace
 
@@ -44,80 +38,86 @@ InferenceServer::InferenceServer(const graph::Dataset& data,
     SCGNN_CHECK(cfg_.hist_max_ms > 0.0 && cfg_.hist_bins >= 1,
                 "latency histogram needs a positive range and >= 1 bins");
 
-    const std::uint32_t p = ctx_.num_parts();
-    plan_of_pair_.assign(static_cast<std::size_t>(p) * p, -1);
-    for (std::size_t pi = 0; pi < ctx_.plans().size(); ++pi) {
-        const dist::PairPlan& plan = ctx_.plans()[pi];
-        plan_of_pair_[static_cast<std::size_t>(plan.src_part) * p +
-                      plan.dst_part] = static_cast<std::int64_t>(pi);
-    }
-
     if (cfg_.semantic) {
         // One static grouping pass (the same Fig. 8 setup step training
-        // runs); only the group ids survive — the cache is keyed by group
-        // signature, so one fused-row fetch serves every member.
+        // runs); only the group membership survives, as each row's group
+        // leader, so one fused-row fetch serves every member.
         core::SemanticCompressor comp(cfg_.compressor);
         comp.setup(ctx_);
-        group_of_.resize(ctx_.plans().size());
-        for (std::size_t pi = 0; pi < ctx_.plans().size(); ++pi)
-            group_of_[pi] = comp.grouping(pi).group_of_row;
+        lead_row_.resize(ctx_.plans().size());
+        std::vector<std::uint32_t> first_row;
+        for (std::size_t pi = 0; pi < ctx_.plans().size(); ++pi) {
+            const core::Grouping& g = comp.grouping(pi);
+            first_row.assign(g.groups.size(), kLocal);
+            std::vector<std::uint32_t>& lead = lead_row_[pi];
+            lead.resize(g.group_of_row.size());
+            for (std::uint32_t row = 0; row < lead.size(); ++row) {
+                const std::int32_t gid = g.group_of_row[row];
+                if (gid < 0) {
+                    lead[row] = row;
+                    continue;
+                }
+                std::uint32_t& first = first_row[static_cast<std::size_t>(gid)];
+                if (first == kLocal) first = row;
+                lead[row] = first;
+            }
+        }
     }
 }
 
-std::size_t InferenceServer::resolve_units(
-    std::uint32_t v, std::vector<std::uint64_t>& units,
-    std::vector<std::uint32_t>& unit_owner) const {
-    const std::uint32_t p = ctx_.num_parts();
-    const std::uint32_t home = ctx_.owner(v);
+void InferenceServer::unit_table(std::uint32_t home,
+                                 std::vector<std::uint32_t>& unit_of,
+                                 std::vector<std::uint32_t>& unit_owner) const {
+    unit_of.assign(num_nodes_, kLocal);
+    unit_owner.clear();
+    auto new_unit = [&](std::uint32_t owner) {
+        unit_owner.push_back(owner);
+        return static_cast<std::uint32_t>(unit_owner.size() - 1);
+    };
+    // Boundary rows into `home`: one unit per semantic group (members take
+    // their leader's id; the leader is the group's first row) or per raw
+    // row.
+    for (std::size_t pi = 0; pi < ctx_.plans().size(); ++pi) {
+        const dist::PairPlan& plan = ctx_.plans()[pi];
+        if (plan.dst_part != home) continue;
+        const std::vector<std::uint32_t>& src = plan.dbg.src_nodes;
+        for (std::uint32_t row = 0; row < src.size(); ++row) {
+            const std::uint32_t lead =
+                lead_row_.empty() ? row : lead_row_[pi][row];
+            unit_of[src[row]] =
+                lead == row ? new_unit(plan.src_part) : unit_of[src[lead]];
+        }
+    }
+    // Multi-hop remote nodes without a direct boundary row still cost one
+    // per-node unit (fetched through their owner).
+    for (std::uint32_t u = 0; u < num_nodes_; ++u) {
+        if (unit_of[u] != kLocal) continue;
+        const std::uint32_t o = ctx_.owner(u);
+        if (o != home) unit_of[u] = new_unit(o);
+    }
+}
+
+void InferenceServer::ball(std::uint32_t v, std::uint32_t stamp,
+                           std::vector<std::uint32_t>& visited,
+                           std::vector<std::uint32_t>& seen) const {
     // Serial BFS over the normalised adjacency, depth = layers. Nodes are
-    // visited in discovery order (`seen` is membership only), keeping the
-    // unit list bitwise deterministic on any library implementation.
-    std::vector<std::uint32_t> visited{v};
-    std::unordered_set<std::uint32_t> seen{v};
+    // listed in discovery order; `seen[w] == stamp` marks membership for
+    // this query only, so the array is never cleared between queries.
+    visited.clear();
+    visited.push_back(v);
+    seen[v] = stamp;
     std::size_t frontier_lo = 0;
     for (std::uint32_t hop = 0; hop < cfg_.layers; ++hop) {
         const std::size_t frontier_hi = visited.size();
         for (std::size_t fi = frontier_lo; fi < frontier_hi; ++fi) {
             for (const std::uint32_t w : adj_.row_cols(visited[fi])) {
-                if (!seen.insert(w).second) continue;
+                if (seen[w] == stamp) continue;
+                seen[w] = stamp;
                 visited.push_back(w);
             }
         }
         frontier_lo = frontier_hi;
     }
-
-    for (const std::uint32_t u : visited) {
-        const std::uint32_t o = ctx_.owner(u);
-        if (o == home) continue;
-        std::uint64_t sig = 0;
-        const std::int64_t pi =
-            plan_of_pair_[static_cast<std::size_t>(o) * p + home];
-        bool on_plan = false;
-        if (pi >= 0) {
-            const dist::PairPlan& plan =
-                ctx_.plans()[static_cast<std::size_t>(pi)];
-            const auto it = std::lower_bound(plan.dbg.src_nodes.begin(),
-                                             plan.dbg.src_nodes.end(), u);
-            if (it != plan.dbg.src_nodes.end() && *it == u) {
-                const auto row = static_cast<std::size_t>(
-                    it - plan.dbg.src_nodes.begin());
-                on_plan = true;
-                const std::int32_t g =
-                    cfg_.semantic ? group_of_[static_cast<std::size_t>(pi)][row]
-                                  : -1;
-                sig = g >= 0 ? unit_sig(0xA5, static_cast<std::uint64_t>(pi),
-                                        static_cast<std::uint64_t>(g))
-                             : unit_sig(0xB7, static_cast<std::uint64_t>(pi),
-                                        row);
-            }
-        }
-        // Multi-hop remote nodes without a direct boundary row still cost
-        // one per-node unit (fetched through their owner).
-        if (!on_plan) sig = unit_sig(0xC9, o, u);
-        units.push_back(sig);
-        unit_owner.push_back(o);
-    }
-    return visited.size();
 }
 
 ServeResult InferenceServer::run() const {
@@ -127,16 +127,23 @@ ServeResult InferenceServer::run() const {
         std::uint32_t node;
     };
     // Open-loop arrivals at fixed spacing; the node stream is one seeded
-    // sequence drawn before routing, so it is independent of P.
+    // sequence drawn before routing, so it is independent of P. Each
+    // device's list is sized before it is filled, so the run's heap
+    // allocations do not grow with the stream length.
     std::vector<std::vector<Query>> per_device(p);
     {
+        std::vector<std::uint32_t> stream(cfg_.queries);
+        std::vector<std::size_t> count(p, 0);
         Rng rng(cfg_.seed);
-        const double gap_ms = 1e3 / cfg_.qps;
-        for (std::uint32_t i = 0; i < cfg_.queries; ++i) {
-            const auto v = static_cast<std::uint32_t>(
-                rng.uniform_u64(num_nodes_));
-            per_device[ctx_.owner(v)].push_back({i * gap_ms, v});
+        for (std::uint32_t& v : stream) {
+            v = static_cast<std::uint32_t>(rng.uniform_u64(num_nodes_));
+            ++count[ctx_.owner(v)];
         }
+        for (std::uint32_t d = 0; d < p; ++d) per_device[d].reserve(count[d]);
+        const double gap_ms = 1e3 / cfg_.qps;
+        for (std::uint32_t i = 0; i < cfg_.queries; ++i)
+            per_device[ctx_.owner(stream[i])].push_back(
+                {i * gap_ms, stream[i]});
     }
 
     comm::Fabric fabric(p, cfg_.cost);
@@ -148,13 +155,25 @@ ServeResult InferenceServer::run() const {
     const std::uint64_t unit_bytes =
         static_cast<std::uint64_t>(cfg_.embed_dim) * sizeof(float);
 
-    std::vector<std::uint64_t> units;
-    std::vector<std::uint32_t> owners;
-    std::unordered_set<std::uint64_t> batch_seen;
-    std::map<std::uint32_t, std::uint64_t> fetch_by_owner;
+    // Hot-loop state, all flat arrays sized once (a device has fewer
+    // units than nodes): the BFS list and its per-node query stamp, the
+    // per-unit batch stamp (batch dedupe) and cached flag (the device's
+    // halo cache), and the per-owner bytes of one dispatch.
+    std::vector<std::uint32_t> unit_of, unit_owner, visited, in_batch;
+    std::vector<std::uint8_t> cached;
+    unit_owner.reserve(num_nodes_);
+    visited.reserve(num_nodes_);
+    in_batch.reserve(num_nodes_);
+    cached.reserve(num_nodes_);
+    std::vector<std::uint32_t> seen(num_nodes_, 0);
+    std::vector<std::uint64_t> fetch_bytes(p, 0);
+    std::uint32_t query_stamp = 0, batch_stamp = 0;
     for (std::uint32_t d = 0; d < p; ++d) {
         const std::vector<Query>& q = per_device[d];
-        std::unordered_set<std::uint64_t> cache;
+        if (q.empty()) continue;
+        unit_table(d, unit_of, unit_owner);
+        in_batch.assign(unit_owner.size(), 0);
+        cached.assign(unit_owner.size(), 0);
         double busy_until_ms = 0.0;
         std::size_t i = 0;
         while (i < q.size()) {
@@ -174,28 +193,33 @@ ServeResult InferenceServer::run() const {
                                q.back().arrival_ms);
             const double dispatch_ms = std::max(busy_until_ms, close_ms);
 
-            units.clear();
-            owners.clear();
+            // Each remote unit counts once per batch, at its first touch:
+            // a cache hit, or a miss fetched from its owner (and cached).
+            ++batch_stamp;
             std::size_t touched = 0;
-            for (std::size_t k = i; k < j; ++k)
-                touched += resolve_units(q[k].node, units, owners);
-
-            batch_seen.clear();
-            fetch_by_owner.clear();
-            for (std::size_t u = 0; u < units.size(); ++u) {
-                if (!batch_seen.insert(units[u]).second) continue;
-                if (cfg_.halo_cache && cache.count(units[u]) > 0) {
-                    ++res.cache_hits;
-                    continue;
+            for (std::size_t k = i; k < j; ++k) {
+                ball(q[k].node, ++query_stamp, visited, seen);
+                touched += visited.size();
+                for (const std::uint32_t u : visited) {
+                    const std::uint32_t id = unit_of[u];
+                    if (id == kLocal || in_batch[id] == batch_stamp) continue;
+                    in_batch[id] = batch_stamp;
+                    if (cfg_.halo_cache && cached[id] != 0) {
+                        ++res.cache_hits;
+                        continue;
+                    }
+                    ++res.cache_misses;
+                    fetch_bytes[unit_owner[id]] += unit_bytes;
+                    cached[id] = 1;
                 }
-                ++res.cache_misses;
-                fetch_by_owner[owners[u]] += unit_bytes;
-                if (cfg_.halo_cache) cache.insert(units[u]);
             }
+            // Fetches go out in ascending owner order.
             double fetch_ms = 0.0;
-            for (const auto& [o, bytes] : fetch_by_owner) {
-                fetch_ms += fabric.send(o, d, bytes).modelled_ms;
-                fetched_bytes += bytes;
+            for (std::uint32_t o = 0; o < p; ++o) {
+                if (fetch_bytes[o] == 0) continue;
+                fetch_ms += fabric.send(o, d, fetch_bytes[o]).modelled_ms;
+                fetched_bytes += fetch_bytes[o];
+                fetch_bytes[o] = 0;
             }
 
             const double service_ms =
@@ -208,6 +232,7 @@ ServeResult InferenceServer::run() const {
                 const double l = done_ms - q[k].arrival_ms;
                 hist.add(l);
                 lat.add(l);
+                if (l >= cfg_.hist_max_ms) ++res.clamped;
                 if (obs::enabled())
                     obs::registry()
                         .histogram("serve.latency_ms", 0.0, cfg_.hist_max_ms,
@@ -246,6 +271,7 @@ ServeResult InferenceServer::run() const {
         obs::record_final("serve.mean_ms", res.mean_ms);
         obs::record_final("serve.hit_rate", res.hit_rate);
         obs::record_final("serve.halo_mb", res.halo_mb);
+        obs::record_final("serve.clamped", static_cast<double>(res.clamped));
     }
     return res;
 }

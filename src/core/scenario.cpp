@@ -268,7 +268,10 @@ Scenario Scenario::build(ScenarioConfig cfg) {
     // The single validation pass. Only data-independent invariants live
     // here; anything needing the dataset (mask shapes, feature widths) is
     // checked by the dispatched workload itself.
-    SCGNN_CHECK(cfg.pipeline.num_parts >= 1, "need at least one partition");
+    // Every mode builds a DistContext, which needs a cross-partition pair.
+    SCGNN_CHECK(cfg.pipeline.num_parts >= 2, "need at least two partitions");
+    SCGNN_CHECK(cfg.pipeline.model.num_layers >= 1,
+                "the model needs at least one layer");
     SCGNN_CHECK(cfg.pipeline.train.epochs >= 1, "need at least one epoch");
     SCGNN_CHECK(cfg.pipeline.train.lr_decay > 0.0f &&
                     cfg.pipeline.train.lr_decay <= 1.0f,

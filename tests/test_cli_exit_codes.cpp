@@ -46,6 +46,11 @@ const Case kCases[] = {
     // invalid combination must still exit 2 before any work starts.
     {"sample-train-membership",
      "--mode sample-train --membership leave:1@d1,join:2@d1"},
+    // scgnn_cli's own count flags: range-checked at parse time, before
+    // the dataset is built.
+    {"parts-one", "--parts 1"},
+    {"layers-zero", "--layers 0"},
+    {"epochs-negative", "--epochs -3"},
 };
 
 class CliExitCode : public ::testing::TestWithParam<Case> {};

@@ -10,6 +10,8 @@
 
 #include "scgnn/common/parallel.hpp"
 #include "scgnn/dist/factory.hpp"
+#include "scgnn/obs/alloc.hpp"
+#include "scgnn/partition/partition.hpp"
 #include "scgnn/runtime/scenario.hpp"
 
 namespace scgnn::runtime {
@@ -65,6 +67,17 @@ TEST(ScenarioBuild, ValidatesOnce) {
     ScenarioConfig bad = base_cfg(d, ScenarioMode::kTrain);
     bad.pipeline.num_parts = 0;
     EXPECT_THROW((void)Scenario::build(bad), Error);
+    // Every mode builds a DistContext, which needs two partitions.
+    for (const ScenarioMode m :
+         {ScenarioMode::kTrain, ScenarioMode::kSampleTrain,
+          ScenarioMode::kServe}) {
+        bad = base_cfg(d, m);
+        bad.pipeline.num_parts = 1;
+        EXPECT_THROW((void)Scenario::build(bad), Error);
+        bad = base_cfg(d, m);
+        bad.pipeline.model.num_layers = 0;
+        EXPECT_THROW((void)Scenario::build(bad), Error);
+    }
     bad = base_cfg(d, ScenarioMode::kTrain);
     bad.pipeline.train.epochs = 0;
     EXPECT_THROW((void)Scenario::build(bad), Error);
@@ -198,6 +211,49 @@ TEST(ScenarioServe, DeterministicAndWellFormed) {
     EXPECT_GT(a.hit_rate, 0.0);  // warm cache pays off within 400 queries
     EXPECT_EQ(a.cache_hits + a.cache_misses > 0,
               true);
+    EXPECT_EQ(a.clamped, 0u);  // every latency inside the histogram
+}
+
+TEST(ScenarioServe, OverloadReportsClampedLatencies) {
+    // Far more arrivals than the devices can serve: queues build until
+    // latencies pass the histogram ceiling, whose top bin then holds them.
+    const graph::Dataset d = tiny_data();
+    ScenarioConfig cfg = base_cfg(d, ScenarioMode::kServe);
+    cfg.serve.qps = 1e6;
+    cfg.serve.queries = 2000;
+    cfg.serve.hist_max_ms = 5.0;
+    cfg.serve.hist_bins = 256;
+    const ServeResult r = Scenario::build(cfg).run(d).serve;
+    EXPECT_GT(r.clamped, 0u);
+    EXPECT_LE(r.clamped, r.queries);
+    EXPECT_GT(r.max_ms, cfg.serve.hist_max_ms);
+    EXPECT_LE(r.p99_ms, cfg.serve.hist_max_ms);  // a lower bound only
+}
+
+TEST(ScenarioServe, AllocationsDoNotGrowWithStreamLength) {
+    // Two runs differing only in stream length allocate equally often:
+    // per-run set-up (query lists, unit tables, stamp arrays) is sized up
+    // front and the batch loop itself never touches the heap.
+    ThreadCountGuard guard(1);
+    const graph::Dataset d = tiny_data();
+    const partition::Partitioning parts = partition::make_partitioning(
+        partition::PartitionAlgo::kNodeCut, d.graph, 4, 5);
+    auto allocs_of_run = [&](std::uint32_t queries) {
+        ServeConfig cfg = base_cfg(d, ScenarioMode::kServe).serve;
+        cfg.queries = queries;
+        const InferenceServer server(d, parts, cfg);
+        obs::reset_alloc_stats();
+        obs::set_alloc_tracking(true);
+        const ServeResult r = server.run();
+        obs::set_alloc_tracking(false);
+        EXPECT_EQ(r.queries, queries);
+        return obs::alloc_stats().count;
+    };
+    const std::uint64_t short_run = allocs_of_run(500);
+    const std::uint64_t long_run = allocs_of_run(2000);
+    EXPECT_GT(short_run, 0u);
+    EXPECT_EQ(short_run, long_run);
+    obs::reset_alloc_stats();
 }
 
 TEST(ScenarioServe, CacheReducesFetchVolume) {

@@ -1,6 +1,8 @@
 // Golden pins for the two new Scenario workloads: one neighbor-sampled
-// training run (pubmed_sampled.json) and one open-loop serving run
-// (pubmed_serving.json), both rendered at %.17g so any numeric drift —
+// training run (pubmed_sampled.json) and open-loop serving runs
+// (pubmed_serving*.json: the default path plus one variant per serving
+// knob — raw-row units, no halo cache, unbatched, three hops and a
+// hierarchical topology), all rendered at %.17g so any numeric drift —
 // sampler stream, request pricing, micro-batching, cache accounting —
 // fails the diff bitwise. On mismatch the check prints the regen command:
 //   SCGNN_GOLDEN_REGEN=1 ./build/tests/test_serving_golden
@@ -12,6 +14,7 @@
 #include <sstream>
 #include <string>
 
+#include "scgnn/common/parallel.hpp"
 #include "scgnn/runtime/scenario.hpp"
 
 namespace scgnn::runtime {
@@ -80,15 +83,21 @@ std::string render_sampled(const core::PipelineResult& r) {
     return o.str();
 }
 
-std::string render_serving(const ServeResult& s) {
+/// The config line is rendered from `c`; `variant` is appended verbatim
+/// (empty for the default run, e.g. `, "semantic": false` for a knob the
+/// line does not otherwise show).
+std::string render_serving(const ServeConfig& c, const ServeResult& s,
+                           const char* variant = "") {
     std::ostringstream o;
     o << "{\n";
     o << "  \"schema\": \"scgnn.golden/1\",\n";
     o << "  \"preset\": \"pubmed\",\n";
     o << "  \"config\": {\"scale\": " << g17(kScale)
       << ", \"parts\": 4, \"seed\": " << kSeed
-      << ", \"mode\": \"serve\", \"qps\": 4000, \"queries\": 1000"
-      << ", \"serve_seed\": 23, \"batch_max\": 8, \"deadline_ms\": 2},\n";
+      << ", \"mode\": \"serve\", \"qps\": " << g17(c.qps)
+      << ", \"queries\": " << c.queries << ", \"serve_seed\": " << c.seed
+      << ", \"batch_max\": " << c.batch_max
+      << ", \"deadline_ms\": " << g17(c.deadline_ms) << variant << "},\n";
     o << "  \"queries\": " << s.queries << ",\n";
     o << "  \"batches\": " << s.batches << ",\n";
     o << "  \"mean_batch\": " << g17(s.mean_batch) << ",\n";
@@ -139,7 +148,64 @@ TEST(ServingGolden, SampledTrainingRunPinned) {
 TEST(ServingGolden, ServingRunPinned) {
     const graph::Dataset d = golden_data();
     const Scenario s = Scenario::build(golden_cfg(d, ScenarioMode::kServe));
-    check_golden("pubmed_serving", render_serving(s.run(d).serve));
+    check_golden("pubmed_serving",
+                 render_serving(s.config().serve, s.run(d).serve));
+}
+
+/// One serving knob moved off the default of golden_cfg.
+struct ServeVariant {
+    const char* golden;  ///< file stem under tests/golden/
+    const char* config;  ///< rendered into the config line
+    void (*apply)(ScenarioConfig&);
+};
+
+const ServeVariant kServeVariants[] = {
+    {"pubmed_serving_raw", ", \"semantic\": false",
+     [](ScenarioConfig& c) { c.serve.semantic = false; }},
+    {"pubmed_serving_nocache", ", \"halo_cache\": false",
+     [](ScenarioConfig& c) { c.serve.halo_cache = false; }},
+    {"pubmed_serving_batch1", "",
+     [](ScenarioConfig& c) { c.serve.batch_max = 1; }},
+    {"pubmed_serving_layers3", ", \"layers\": 3",
+     [](ScenarioConfig& c) { c.serve.layers = 3; }},
+    {"pubmed_serving_hier2x2", ", \"topology\": \"hier:2x2\"",
+     [](ScenarioConfig& c) {
+         ASSERT_TRUE(comm::parse_topology("hier:2x2",
+                                          c.pipeline.train.comm.topology));
+     }},
+};
+
+std::string serve_variant(const graph::Dataset& d, const ServeVariant& v) {
+    ScenarioConfig cfg = golden_cfg(d, ScenarioMode::kServe);
+    v.apply(cfg);
+    const ServeConfig serve = cfg.serve;
+    return render_serving(serve, Scenario::build(std::move(cfg)).run(d).serve,
+                          v.config);
+}
+
+TEST(ServingGolden, ServingVariantsPinned) {
+    const graph::Dataset d = golden_data();
+    for (const ServeVariant& v : kServeVariants) {
+        SCOPED_TRACE(v.golden);
+        check_golden(v.golden, serve_variant(d, v));
+    }
+}
+
+TEST(ServingGolden, ServingVariantsBitwiseAcrossThreadCounts) {
+    const graph::Dataset d = golden_data();
+    for (const ServeVariant& v : kServeVariants) {
+        SCOPED_TRACE(v.golden);
+        std::string at1, at4;
+        {
+            ThreadCountGuard guard(1);
+            at1 = serve_variant(d, v);
+        }
+        {
+            ThreadCountGuard guard(4);
+            at4 = serve_variant(d, v);
+        }
+        EXPECT_EQ(at1, at4);
+    }
 }
 
 } // namespace
