@@ -142,8 +142,14 @@ private:
 
     /// k-means budget after the rate scaling (0 stays 0 = EEP auto).
     [[nodiscard]] std::uint32_t effective_k() const noexcept;
-    /// The setup() grouping pass at the current effective k.
+    /// The setup() grouping pass at the current effective k: one
+    /// build_plan() per plan, plans in parallel on the global pool.
     void rebuild();
+
+    /// Grouping, raw-row classes and wire rows of plan `pi` under `gc`
+    /// (its seed is derived from `pi`). Reads only immutable state.
+    [[nodiscard]] PlanState build_plan(const dist::PairPlan& plan,
+                                       std::size_t pi, GroupingConfig gc) const;
 
     SemanticCompressorConfig cfg_;
     std::vector<PlanState> plans_;

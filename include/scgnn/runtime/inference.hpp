@@ -92,6 +92,12 @@ public:
     }
 
 private:
+    /// The public constructor, recording its own span ("serve.server_setup")
+    /// from `t0_ns` on the trace clock; 0 records nothing (obs off).
+    InferenceServer(const graph::Dataset& data,
+                    const partition::Partitioning& parts, ServeConfig cfg,
+                    std::uint64_t t0_ns);
+
     /// Halo-unit table of home device `home`: `unit_of[u]` is the dense
     /// unit id of remote node u (members of one semantic group share it;
     /// ~0 for nodes `home` owns) and `unit_owner[id]` the device it is
@@ -108,8 +114,7 @@ private:
 
     ServeConfig cfg_;
     dist::DistContext ctx_;
-    tensor::SparseMatrix adj_;  ///< global normalised adjacency (BFS edges)
-    std::uint32_t num_nodes_ = 0;
+    graph::Graph graph_;  ///< the dataset's CSR (BFS edges)
     /// Per plan: the first row of each row's semantic group (the row
     /// itself when raw), empty when !semantic.
     std::vector<std::vector<std::uint32_t>> lead_row_;

@@ -70,6 +70,8 @@ public:
     /// flags (--mode/--batch-size/--fanout/--qps/--deadline-ms/--queries/
     /// --serve-batch/--no-serve-cache). Returns false for flags the
     /// caller must handle itself; exits with code 2 on a malformed value.
+    /// Every numeric value must parse whole (std::from_chars) and land in
+    /// its flag's range, so bad input stops here, before any work.
     [[nodiscard]] static bool parse_flag(int argc, char** argv, int& i,
                                          ScenarioConfig& out);
 

@@ -11,6 +11,7 @@
 #include "scgnn/obs/ledger.hpp"
 #include "scgnn/obs/metrics.hpp"
 #include "scgnn/obs/obs.hpp"
+#include "scgnn/obs/trace.hpp"
 
 namespace scgnn::runtime {
 
@@ -25,10 +26,15 @@ constexpr std::uint32_t kLocal = ~std::uint32_t{0};
 InferenceServer::InferenceServer(const graph::Dataset& data,
                                  const partition::Partitioning& parts,
                                  ServeConfig cfg)
+    : InferenceServer(data, parts, std::move(cfg),
+                      obs::enabled() ? obs::detail::trace_now_ns() : 0) {}
+
+InferenceServer::InferenceServer(const graph::Dataset& data,
+                                 const partition::Partitioning& parts,
+                                 ServeConfig cfg, std::uint64_t t0_ns)
     : cfg_(std::move(cfg)),
       ctx_(data, parts, gnn::AdjNorm::kSymmetric),
-      adj_(gnn::normalized_adjacency(data.graph, gnn::AdjNorm::kSymmetric)),
-      num_nodes_(data.graph.num_nodes()) {
+      graph_(data.graph) {
     SCGNN_CHECK(cfg_.qps > 0.0, "qps must be positive");
     SCGNN_CHECK(cfg_.queries >= 1, "need at least one query");
     SCGNN_CHECK(cfg_.batch_max >= 1, "batch_max must be at least 1");
@@ -63,12 +69,14 @@ InferenceServer::InferenceServer(const graph::Dataset& data,
             }
         }
     }
+    if (t0_ns != 0)
+        obs::record_span("serve.server_setup", t0_ns, obs::detail::trace_now_ns());
 }
 
 void InferenceServer::unit_table(std::uint32_t home,
                                  std::vector<std::uint32_t>& unit_of,
                                  std::vector<std::uint32_t>& unit_owner) const {
-    unit_of.assign(num_nodes_, kLocal);
+    unit_of.assign(graph_.num_nodes(), kLocal);
     unit_owner.clear();
     auto new_unit = [&](std::uint32_t owner) {
         unit_owner.push_back(owner);
@@ -90,7 +98,7 @@ void InferenceServer::unit_table(std::uint32_t home,
     }
     // Multi-hop remote nodes without a direct boundary row still cost one
     // per-node unit (fetched through their owner).
-    for (std::uint32_t u = 0; u < num_nodes_; ++u) {
+    for (std::uint32_t u = 0; u < graph_.num_nodes(); ++u) {
         if (unit_of[u] != kLocal) continue;
         const std::uint32_t o = ctx_.owner(u);
         if (o != home) unit_of[u] = new_unit(o);
@@ -100,9 +108,11 @@ void InferenceServer::unit_table(std::uint32_t home,
 void InferenceServer::ball(std::uint32_t v, std::uint32_t stamp,
                            std::vector<std::uint32_t>& visited,
                            std::vector<std::uint32_t>& seen) const {
-    // Serial BFS over the normalised adjacency, depth = layers. Nodes are
-    // listed in discovery order; `seen[w] == stamp` marks membership for
-    // this query only, so the array is never cleared between queries.
+    // Serial BFS over the graph CSR, depth = layers. Nodes are listed in
+    // discovery order, the same as over the normalised adjacency: its only
+    // extra entries are self-loops, which point at a node already seen.
+    // `seen[w] == stamp` marks membership for this query only, so the
+    // array is never cleared between queries.
     visited.clear();
     visited.push_back(v);
     seen[v] = stamp;
@@ -110,7 +120,7 @@ void InferenceServer::ball(std::uint32_t v, std::uint32_t stamp,
     for (std::uint32_t hop = 0; hop < cfg_.layers; ++hop) {
         const std::size_t frontier_hi = visited.size();
         for (std::size_t fi = frontier_lo; fi < frontier_hi; ++fi) {
-            for (const std::uint32_t w : adj_.row_cols(visited[fi])) {
+            for (const std::uint32_t w : graph_.neighbors(visited[fi])) {
                 if (seen[w] == stamp) continue;
                 seen[w] = stamp;
                 visited.push_back(w);
@@ -136,7 +146,7 @@ ServeResult InferenceServer::run() const {
         std::vector<std::size_t> count(p, 0);
         Rng rng(cfg_.seed);
         for (std::uint32_t& v : stream) {
-            v = static_cast<std::uint32_t>(rng.uniform_u64(num_nodes_));
+            v = static_cast<std::uint32_t>(rng.uniform_u64(graph_.num_nodes()));
             ++count[ctx_.owner(v)];
         }
         for (std::uint32_t d = 0; d < p; ++d) per_device[d].reserve(count[d]);
@@ -161,11 +171,11 @@ ServeResult InferenceServer::run() const {
     // halo cache), and the per-owner bytes of one dispatch.
     std::vector<std::uint32_t> unit_of, unit_owner, visited, in_batch;
     std::vector<std::uint8_t> cached;
-    unit_owner.reserve(num_nodes_);
-    visited.reserve(num_nodes_);
-    in_batch.reserve(num_nodes_);
-    cached.reserve(num_nodes_);
-    std::vector<std::uint32_t> seen(num_nodes_, 0);
+    unit_owner.reserve(graph_.num_nodes());
+    visited.reserve(graph_.num_nodes());
+    in_batch.reserve(graph_.num_nodes());
+    cached.reserve(graph_.num_nodes());
+    std::vector<std::uint32_t> seen(graph_.num_nodes(), 0);
     std::vector<std::uint64_t> fetch_bytes(p, 0);
     std::uint32_t query_stamp = 0, batch_stamp = 0;
     for (std::uint32_t d = 0; d < p; ++d) {

@@ -4,9 +4,11 @@
 
 #include "scgnn/runtime/scenario.hpp"
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 
 #include "scgnn/common/log.hpp"
 #include "scgnn/common/parallel.hpp"
@@ -64,6 +66,29 @@ bool parse_fanout(const char* s, std::vector<std::uint32_t>& out) {
     return !out.empty();
 }
 
+/// The whole of `s` as a number in [lo, hi]; anything else — garbage,
+/// trailing text, overflow, NaN, a value out of range — is bad usage and
+/// exits 2 naming `flag` and the `expect`ed range.
+template <typename T>
+T parse_number(const char* flag, const char* s, T lo, T hi,
+               const char* expect) {
+    T v{};
+    const char* end = s + std::strlen(s);
+    const auto [ptr, ec] = std::from_chars(s, end, v);
+    if (ec != std::errc{} || ptr != end || !(v >= lo && v <= hi)) {
+        std::fprintf(stderr, "bad %s '%s' (expected %s)\n", flag, s, expect);
+        std::exit(2);
+    }
+    return v;
+}
+
+constexpr std::uint32_t kMaxU32 = std::numeric_limits<std::uint32_t>::max();
+constexpr double kMaxF64 = std::numeric_limits<double>::max();
+/// The doubles next to 0 and 1, which close the open ends of (0, ·] and
+/// [0, 1).
+constexpr double kAboveZero = std::numeric_limits<double>::denorm_min();
+constexpr double kBelowOne = 1.0 - 0x1p-53;
+
 } // namespace
 
 bool Scenario::parse_flag(int argc, char** argv, int& i, ScenarioConfig& out) {
@@ -73,6 +98,14 @@ bool Scenario::parse_flag(int argc, char** argv, int& i, ScenarioConfig& out) {
             std::exit(2);
         }
         return argv[++i];
+    };
+    auto count = [&](const char* flag) {
+        return parse_number(flag, value(flag), std::uint32_t{1}, kMaxU32,
+                            "an integer >= 1");
+    };
+    auto real = [&](const char* flag, double lo, double hi,
+                    const char* expect) {
+        return parse_number(flag, value(flag), lo, hi, expect);
     };
     dist::DistTrainConfig& train = out.pipeline.train;
     if (std::strcmp(argv[i], "--mode") == 0) {
@@ -84,12 +117,7 @@ bool Scenario::parse_flag(int argc, char** argv, int& i, ScenarioConfig& out) {
             std::exit(2);
         }
     } else if (std::strcmp(argv[i], "--batch-size") == 0) {
-        const int v = std::atoi(value("--batch-size"));
-        if (v < 1) {
-            std::fprintf(stderr, "bad --batch-size (expected >= 1)\n");
-            std::exit(2);
-        }
-        out.sampler.batch_size = static_cast<std::uint32_t>(v);
+        out.sampler.batch_size = count("--batch-size");
     } else if (std::strcmp(argv[i], "--fanout") == 0) {
         const char* s = value("--fanout");
         if (!parse_fanout(s, out.sampler.fanout)) {
@@ -99,35 +127,20 @@ bool Scenario::parse_flag(int argc, char** argv, int& i, ScenarioConfig& out) {
             std::exit(2);
         }
     } else if (std::strcmp(argv[i], "--qps") == 0) {
-        out.serve.qps = std::atof(value("--qps"));
-        if (out.serve.qps <= 0.0) {
-            std::fprintf(stderr, "bad --qps (expected > 0)\n");
-            std::exit(2);
-        }
+        out.serve.qps = real("--qps", kAboveZero, kMaxF64, "a number > 0");
     } else if (std::strcmp(argv[i], "--deadline-ms") == 0) {
-        out.serve.deadline_ms = std::atof(value("--deadline-ms"));
-        if (out.serve.deadline_ms < 0.0) {
-            std::fprintf(stderr, "bad --deadline-ms (expected >= 0)\n");
-            std::exit(2);
-        }
+        out.serve.deadline_ms =
+            real("--deadline-ms", 0.0, kMaxF64, "a number >= 0");
     } else if (std::strcmp(argv[i], "--queries") == 0) {
-        const int v = std::atoi(value("--queries"));
-        if (v < 1) {
-            std::fprintf(stderr, "bad --queries (expected >= 1)\n");
-            std::exit(2);
-        }
-        out.serve.queries = static_cast<std::uint32_t>(v);
+        out.serve.queries = count("--queries");
     } else if (std::strcmp(argv[i], "--serve-batch") == 0) {
-        const int v = std::atoi(value("--serve-batch"));
-        if (v < 1) {
-            std::fprintf(stderr, "bad --serve-batch (expected >= 1)\n");
-            std::exit(2);
-        }
-        out.serve.batch_max = static_cast<std::uint32_t>(v);
+        out.serve.batch_max = count("--serve-batch");
     } else if (std::strcmp(argv[i], "--no-serve-cache") == 0) {
         out.serve.halo_cache = false;  // flag only, no value
     } else if (std::strcmp(argv[i], "--threads") == 0) {
-        out.threads = static_cast<unsigned>(std::atoi(value("--threads")));
+        // 0 = the default width; the pool never grows past 1024 workers.
+        out.threads = parse_number("--threads", value("--threads"), 0u, 1024u,
+                                   "an integer in [0, 1024]");
     } else if (std::strcmp(argv[i], "--log-level") == 0) {
         LogLevel level;
         const char* s = value("--log-level");
@@ -175,30 +188,18 @@ bool Scenario::parse_flag(int argc, char** argv, int& i, ScenarioConfig& out) {
             std::exit(2);
         }
     } else if (std::strcmp(argv[i], "--schedule-floor") == 0) {
-        train.rate.floor = std::atof(value("--schedule-floor"));
-        if (train.rate.floor <= 0.0 || train.rate.floor > 1.0) {
-            std::fprintf(stderr, "bad --schedule-floor %g (expected (0, 1])\n",
-                         train.rate.floor);
-            std::exit(2);
-        }
+        train.rate.floor =
+            real("--schedule-floor", kAboveZero, 1.0, "a number in (0, 1]");
     } else if (std::strcmp(argv[i], "--schedule-drift") == 0) {
-        train.rate.drift_threshold = std::atof(value("--schedule-drift"));
+        train.rate.drift_threshold = real("--schedule-drift", -kMaxF64,
+                                          kMaxF64, "a finite number");
     } else if (std::strcmp(argv[i], "--schedule-improve") == 0) {
-        train.rate.improve_threshold = std::atof(value("--schedule-improve"));
+        train.rate.improve_threshold = real("--schedule-improve", -kMaxF64,
+                                            kMaxF64, "a finite number");
     } else if (std::strcmp(argv[i], "--schedule-hold") == 0) {
-        train.rate.hold_epochs =
-            static_cast<std::uint32_t>(std::atoi(value("--schedule-hold")));
-        if (train.rate.hold_epochs < 1) {
-            std::fprintf(stderr, "bad --schedule-hold (expected >= 1)\n");
-            std::exit(2);
-        }
+        train.rate.hold_epochs = count("--schedule-hold");
     } else if (std::strcmp(argv[i], "--warmup-epochs") == 0) {
-        train.rate.warmup_epochs =
-            static_cast<std::uint32_t>(std::atoi(value("--warmup-epochs")));
-        if (train.rate.warmup_epochs < 1) {
-            std::fprintf(stderr, "bad --warmup-epochs (expected >= 1)\n");
-            std::exit(2);
-        }
+        train.rate.warmup_epochs = count("--warmup-epochs");
     } else if (std::strcmp(argv[i], "--membership") == 0) {
         const char* s = value("--membership");
         if (!runtime::parse_membership(s, train.membership)) {
@@ -209,10 +210,13 @@ bool Scenario::parse_flag(int argc, char** argv, int& i, ScenarioConfig& out) {
             std::exit(2);
         }
     } else if (std::strcmp(argv[i], "--fault-drop") == 0) {
-        train.comm.fault.drop_probability = std::atof(value("--fault-drop"));
+        // A drop probability of 1 would never deliver a message.
+        train.comm.fault.drop_probability =
+            real("--fault-drop", 0.0, kBelowOne, "a probability in [0, 1)");
     } else if (std::strcmp(argv[i], "--fault-seed") == 0) {
-        train.comm.fault.seed =
-            static_cast<std::uint64_t>(std::atoll(value("--fault-seed")));
+        train.comm.fault.seed = parse_number(
+            "--fault-seed", value("--fault-seed"), std::uint64_t{0},
+            std::numeric_limits<std::uint64_t>::max(), "an unsigned integer");
     } else if (std::strcmp(argv[i], "--fault-link-down") == 0) {
         const char* spec = value("--fault-link-down");
         comm::LinkDownWindow w;
@@ -225,10 +229,10 @@ bool Scenario::parse_flag(int argc, char** argv, int& i, ScenarioConfig& out) {
         }
         train.comm.fault.down_windows.push_back(w);
     } else if (std::strcmp(argv[i], "--retry-max") == 0) {
-        train.comm.retry.max_attempts =
-            static_cast<std::uint32_t>(std::atoi(value("--retry-max")));
+        train.comm.retry.max_attempts = count("--retry-max");
     } else if (std::strcmp(argv[i], "--timeout") == 0) {
-        train.comm.retry.timeout_s = std::atof(value("--timeout"));
+        train.comm.retry.timeout_s =
+            real("--timeout", 0.0, kMaxF64, "a number of seconds >= 0");
     } else {
         return false;
     }

@@ -5,6 +5,7 @@
 #include <map>
 #include <utility>
 
+#include "scgnn/common/parallel.hpp"
 #include "scgnn/obs/metrics.hpp"
 #include "scgnn/obs/trace.hpp"
 #include "scgnn/tensor/kernels.hpp"
@@ -43,50 +44,53 @@ void SemanticCompressor::apply_rate(double fidelity) {
     if (ctx_ != nullptr && rate_ != before) rebuild();
 }
 
+SemanticCompressor::PlanState SemanticCompressor::build_plan(
+    const PairPlan& plan, std::size_t pi, GroupingConfig gc) const {
+    PlanState state;
+    // Derive an independent grouping seed per plan so identical DBGs in
+    // different pairs do not share k-means++ draws.
+    gc.seed = cfg_.grouping.seed + pi * 0x9e3779b97f4a7c15ULL;
+    state.grouping = build_grouping(plan.dbg, gc);
+    // The fidelity knob is the *group budget*: the k-means k only
+    // reaches the M2M pool, but merging whole groups scales wire rows
+    // ~linearly on any connection mix (coarsen_grouping doc). The
+    // structural response is clamped at cfg_.min_rate — see its doc.
+    const double structural = std::max(rate_, cfg_.min_rate);
+    if (structural < 1.0 && state.grouping.groups.size() > 1) {
+        const auto target = static_cast<std::uint32_t>(std::max<long>(
+            1, std::lround(static_cast<double>(state.grouping.groups.size()) *
+                           structural)));
+        state.grouping = coarsen_grouping(plan.dbg, state.grouping, target);
+    }
+
+    const std::vector<graph::ConnectionType> cls = classify_sources(plan.dbg);
+    state.raw_class.reserve(state.grouping.raw_rows.size());
+    for (std::uint32_t r : state.grouping.raw_rows)
+        state.raw_class.push_back(cls[r]);
+
+    for (const SemanticGroup& g : state.grouping.groups)
+        if (!cfg_.drop.dropped(g.origin)) ++state.wire_rows;
+    for (std::size_t i = 0; i < state.grouping.raw_rows.size(); ++i)
+        if (!cfg_.drop.dropped(state.raw_class[i]))
+            state.wire_rows += plan.dbg.out_degree(state.grouping.raw_rows[i]);
+    return state;
+}
+
 void SemanticCompressor::rebuild() {
     SCGNN_TRACE_SPAN("compress.setup");
     const DistContext& ctx = *ctx_;
     const std::uint64_t setup_t0 =
         obs::enabled() ? obs::detail::trace_now_ns() : 0;
-    plans_.clear();
-    plans_.reserve(ctx.plans().size());
-    GroupingConfig gc = cfg_.grouping;
-    gc.kmeans_k = effective_k();
-    for (std::size_t pi = 0; pi < ctx.plans().size(); ++pi) {
-        const PairPlan& plan = ctx.plans()[pi];
-        PlanState state;
-        // Derive an independent grouping seed per plan so identical DBGs in
-        // different pairs do not share k-means++ draws.
-        gc.seed = cfg_.grouping.seed + pi * 0x9e3779b97f4a7c15ULL;
-        state.grouping = build_grouping(plan.dbg, gc);
-        // The fidelity knob is the *group budget*: the k-means k only
-        // reaches the M2M pool, but merging whole groups scales wire rows
-        // ~linearly on any connection mix (coarsen_grouping doc). The
-        // structural response is clamped at cfg_.min_rate — see its doc.
-        const double structural = std::max(rate_, cfg_.min_rate);
-        if (structural < 1.0 && state.grouping.groups.size() > 1) {
-            const auto target = static_cast<std::uint32_t>(std::max<long>(
-                1, std::lround(static_cast<double>(
-                                   state.grouping.groups.size()) *
-                               structural)));
-            state.grouping = coarsen_grouping(plan.dbg, state.grouping, target);
-        }
-
-        const std::vector<graph::ConnectionType> cls =
-            classify_sources(plan.dbg);
-        state.raw_class.reserve(state.grouping.raw_rows.size());
-        for (std::uint32_t r : state.grouping.raw_rows)
-            state.raw_class.push_back(cls[r]);
-
-        state.wire_rows = 0;
-        for (const SemanticGroup& g : state.grouping.groups)
-            if (!cfg_.drop.dropped(g.origin)) ++state.wire_rows;
-        for (std::size_t i = 0; i < state.grouping.raw_rows.size(); ++i)
-            if (!cfg_.drop.dropped(state.raw_class[i]))
-                state.wire_rows +=
-                    plan.dbg.out_degree(state.grouping.raw_rows[i]);
-        plans_.push_back(std::move(state));
-    }
+    plans_.assign(ctx.plans().size(), PlanState{});
+    GroupingConfig base = cfg_.grouping;
+    base.kmeans_k = effective_k();
+    // One plan per item on the pool: every plan writes only its own slot,
+    // and the k-means / similarity kernels it calls run inline inside the
+    // region, so each grouping is the one a serial pass would build.
+    parallel_for(0, plans_.size(), 1, [&](std::size_t lo, std::size_t hi) {
+        for (std::size_t pi = lo; pi < hi; ++pi)
+            plans_[pi] = build_plan(ctx.plans()[pi], pi, base);
+    });
     if (obs::enabled()) {
         obs::Registry& reg = obs::registry();
         reg.counter("compress.setups").add(1);

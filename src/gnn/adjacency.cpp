@@ -1,5 +1,6 @@
 #include "scgnn/gnn/adjacency.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 namespace scgnn::gnn {
@@ -14,27 +15,26 @@ tensor::SparseMatrix normalized_adjacency(const graph::Graph& g, AdjNorm norm,
         self == SelfLoop::kAdd ||
         (self == SelfLoop::kAuto && norm != AdjNorm::kSum);
 
-    if (norm == AdjNorm::kSum) {
-        for (std::uint32_t u = 0; u < n; ++u) {
-            if (with_self) trips.push_back({u, u, 1.0f});
-            for (std::uint32_t v : g.neighbors(u))
-                trips.push_back({u, v, 1.0f});
-        }
-        return tensor::SparseMatrix(n, n, std::move(trips));
-    }
-
     std::vector<double> deg(n);
     for (std::uint32_t u = 0; u < n; ++u)
         deg[u] = static_cast<double>(g.degree(u)) + (with_self ? 1.0 : 0.0);
 
     auto weight = [&](std::uint32_t r, std::uint32_t c) -> float {
+        if (norm == AdjNorm::kSum) return 1.0f;
         if (norm == AdjNorm::kSymmetric)
             return static_cast<float>(1.0 / std::sqrt(deg[r] * deg[c]));
         return static_cast<float>(1.0 / deg[r]);
     };
+    // Each row is emitted in column order — the self-loop sits between the
+    // lower and the higher neighbours — so assembly needs no sort.
     for (std::uint32_t u = 0; u < n; ++u) {
-        if (with_self && deg[u] > 0.0) trips.push_back({u, u, weight(u, u)});
-        for (std::uint32_t v : g.neighbors(u)) trips.push_back({u, v, weight(u, v)});
+        const auto nb = g.neighbors(u);
+        const auto mid = std::lower_bound(nb.begin(), nb.end(), u);
+        for (auto it = nb.begin(); it != mid; ++it)
+            trips.push_back({u, *it, weight(u, *it)});
+        if (with_self) trips.push_back({u, u, weight(u, u)});
+        for (auto it = mid; it != nb.end(); ++it)
+            trips.push_back({u, *it, weight(u, *it)});
     }
     return tensor::SparseMatrix(n, n, std::move(trips));
 }

@@ -76,13 +76,84 @@ std::vector<Dbg> extract_all_dbgs(const Graph& g,
                                   std::span<const std::uint32_t> part_of,
                                   std::uint32_t num_parts) {
     SCGNN_CHECK(num_parts >= 2, "need at least two partitions");
-    std::vector<Dbg> out;
+    SCGNN_CHECK(part_of.size() == g.num_nodes(),
+                "one partition id per node required");
+    // Two sweeps over the graph build every pair at once; the result equals
+    // extract_dbg() pair by pair. Nodes with a partition id outside
+    // [0, num_parts) belong to no pair, as in extract_dbg().
+    const std::uint32_t n = g.num_nodes();
+    const std::size_t np = num_parts;
+    constexpr std::uint32_t kNone = ~std::uint32_t{0};
+    std::vector<Dbg> pair(np * np);  // pair[p * np + q] is the DBG p → q
+
+    // Sweep 1: u is a source of (p → q) when one of its neighbours lives in
+    // q ≠ p. Ascending u keeps every source list sorted.
+    std::vector<std::uint32_t> last(np, kNone);  // last u listed for (·, q)
+    std::vector<std::uint32_t> by_part(np + 1, 0);
+    for (std::uint32_t u = 0; u < n; ++u) {
+        const std::uint32_t p = part_of[u];
+        if (p >= num_parts) continue;
+        ++by_part[p + 1];
+        for (const std::uint32_t v : g.neighbors(u)) {
+            const std::uint32_t q = part_of[v];
+            if (q == p || q >= num_parts || last[q] == u) continue;
+            last[q] = u;
+            pair[p * np + q].src_nodes.push_back(u);
+        }
+    }
+    // The sinks of (p → q) are the nodes of q with a neighbour in p: exactly
+    // the sources of (q → p).
     for (std::uint32_t p = 0; p < num_parts; ++p)
         for (std::uint32_t q = 0; q < num_parts; ++q) {
-            if (p == q) continue;
-            Dbg dbg = extract_dbg(g, part_of, p, q);
-            if (dbg.num_edges() > 0) out.push_back(std::move(dbg));
+            Dbg& d = pair[p * np + q];
+            d.src_part = p;
+            d.dst_part = q;
+            if (p != q) d.dst_nodes = pair[q * np + p].src_nodes;
         }
+
+    // Nodes grouped by partition, ascending within each (counting sort).
+    for (std::size_t p = 0; p < np; ++p) by_part[p + 1] += by_part[p];
+    std::vector<std::uint32_t> nodes(by_part[np]);
+    {
+        std::vector<std::uint32_t> cursor(by_part.begin(), by_part.end() - 1);
+        for (std::uint32_t u = 0; u < n; ++u)
+            if (part_of[u] < num_parts) nodes[cursor[part_of[u]]++] = u;
+    }
+
+    // Sweep 2, one source partition p at a time: `local[v]` is v's index
+    // among the sinks of (p → owner(v)); each remote v has one owner, so a
+    // single array serves every q. Neighbour lists ascend by global id, and
+    // so do the sink lists, so each CSR row comes out ascending.
+    std::vector<std::uint32_t> local(n, 0);
+    std::vector<std::uint32_t> touched;
+    std::fill(last.begin(), last.end(), kNone);
+    for (std::uint32_t p = 0; p < num_parts; ++p) {
+        for (std::uint32_t q = 0; q < num_parts; ++q) {
+            const std::vector<std::uint32_t>& sinks = pair[p * np + q].dst_nodes;
+            for (std::uint32_t i = 0; i < sinks.size(); ++i) local[sinks[i]] = i;
+        }
+        for (std::uint32_t k = by_part[p]; k < by_part[p + 1]; ++k) {
+            const std::uint32_t u = nodes[k];
+            touched.clear();
+            for (const std::uint32_t v : g.neighbors(u)) {
+                const std::uint32_t q = part_of[v];
+                if (q == p || q >= num_parts) continue;
+                if (last[q] != u) {
+                    last[q] = u;
+                    touched.push_back(q);
+                }
+                pair[p * np + q].adj.push_back(local[v]);
+            }
+            for (const std::uint32_t q : touched) {
+                Dbg& d = pair[p * np + q];
+                d.ptr.push_back(d.adj.size());
+            }
+        }
+    }
+
+    std::vector<Dbg> out;
+    for (Dbg& d : pair)
+        if (d.num_edges() > 0) out.push_back(std::move(d));
     return out;
 }
 

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <numeric>
 
+#include "scgnn/obs/trace.hpp"
+
 namespace scgnn::graph {
 
 DatasetSpec preset_spec(DatasetPreset preset) {
@@ -148,6 +150,7 @@ Dataset make_synthetic_dataset(const DatasetSpec& spec, std::uint64_t seed) {
 }
 
 Dataset make_dataset(DatasetPreset preset, double scale, std::uint64_t seed) {
+    SCGNN_TRACE_SPAN("graph.make_dataset");
     SCGNN_CHECK(scale > 0.0, "dataset scale must be positive");
     DatasetSpec spec = preset_spec(preset);
     const double scaled =

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_set>
 
 namespace scgnn::graph {
 namespace {
@@ -12,6 +11,63 @@ std::uint64_t edge_key(std::uint32_t u, std::uint32_t v) {
     if (u > v) std::swap(u, v);
     return (static_cast<std::uint64_t>(u) << 32) | v;
 }
+
+/// Insert-only open-addressing set of packed edge keys: linear probing over
+/// a power-of-two table kept at most half full. It answers exactly the
+/// membership questions a std::unordered_set would, so generators that
+/// draw until a fresh edge appears consume the same RNG stream.
+class EdgeKeySet {
+public:
+    explicit EdgeKeySet(std::size_t expected = 0) { grow(expected); }
+
+    /// Insert `key`; true when it was not present before.
+    bool insert(std::uint64_t key) {
+        std::size_t i = home(key);
+        while (slots_[i] != kEmpty) {
+            if (slots_[i] == key) return false;
+            i = (i + 1) & mask_;
+        }
+        slots_[i] = key;
+        if (++size_ * 2 > slots_.size()) grow(size_);
+        return true;
+    }
+
+    [[nodiscard]] bool contains(std::uint64_t key) const {
+        for (std::size_t i = home(key); slots_[i] != kEmpty; i = (i + 1) & mask_)
+            if (slots_[i] == key) return true;
+        return false;
+    }
+
+private:
+    /// No edge key can equal this: it would need u == v.
+    static constexpr std::uint64_t kEmpty = ~std::uint64_t{0};
+
+    [[nodiscard]] std::size_t home(std::uint64_t key) const {
+        key ^= key >> 33;  // murmur3 fmix64
+        key *= 0xff51afd7ed558ccdULL;
+        key ^= key >> 33;
+        return static_cast<std::size_t>(key) & mask_;
+    }
+
+    /// Rehash into a table with room for 2 * `keys` (at least 16 slots).
+    void grow(std::size_t keys) {
+        std::size_t cap = 16;
+        while (cap < 2 * keys + 2) cap *= 2;
+        std::vector<std::uint64_t> old = std::move(slots_);
+        slots_.assign(cap, kEmpty);
+        mask_ = cap - 1;
+        for (const std::uint64_t k : old) {
+            if (k == kEmpty) continue;
+            std::size_t i = home(k);
+            while (slots_[i] != kEmpty) i = (i + 1) & mask_;
+            slots_[i] = k;
+        }
+    }
+
+    std::vector<std::uint64_t> slots_;
+    std::size_t mask_ = 0;
+    std::size_t size_ = 0;
+};
 
 /// Weighted index sampling via binary search on a cumulative-sum table.
 class WeightedSampler {
@@ -47,15 +103,14 @@ Graph erdos_renyi(std::uint32_t n, std::uint64_t m, Rng& rng) {
     const std::uint64_t max_edges =
         static_cast<std::uint64_t>(n) * (n - 1) / 2;
     SCGNN_CHECK(m <= max_edges, "requested more edges than the graph can hold");
-    std::unordered_set<std::uint64_t> seen;
-    seen.reserve(m * 2);
+    EdgeKeySet seen(m);
     std::vector<Edge> edges;
     edges.reserve(m);
     while (edges.size() < m) {
         const auto u = static_cast<std::uint32_t>(rng.uniform_u64(n));
         const auto v = static_cast<std::uint32_t>(rng.uniform_u64(n));
         if (u == v) continue;
-        if (seen.insert(edge_key(u, v)).second) edges.push_back({u, v});
+        if (seen.insert(edge_key(u, v))) edges.push_back({u, v});
     }
     return Graph(n, edges);
 }
@@ -74,7 +129,7 @@ Graph barabasi_albert(std::uint32_t n, std::uint32_t m_per_node, Rng& rng) {
             targets.push_back(u);
             targets.push_back(v);
         }
-    std::unordered_set<std::uint64_t> seen;
+    EdgeKeySet seen;
     for (const Edge& e : edges) seen.insert(edge_key(e.u, e.v));
 
     for (std::uint32_t u = m_per_node + 1; u < n; ++u) {
@@ -82,7 +137,7 @@ Graph barabasi_albert(std::uint32_t n, std::uint32_t m_per_node, Rng& rng) {
         std::size_t guard = 0;
         while (added < m_per_node && guard++ < 64ull * m_per_node) {
             const std::uint32_t v = targets[rng.index(targets.size())];
-            if (v == u || !seen.insert(edge_key(u, v)).second) continue;
+            if (v == u || !seen.insert(edge_key(u, v))) continue;
             edges.push_back({u, v});
             targets.push_back(u);
             targets.push_back(v);
@@ -100,7 +155,7 @@ Graph rmat(std::uint32_t scale, std::uint32_t edge_factor, double a, double b,
     const std::uint32_t n = 1u << scale;
     const std::uint64_t target =
         static_cast<std::uint64_t>(edge_factor) * n;
-    std::unordered_set<std::uint64_t> seen;
+    EdgeKeySet seen;
     std::vector<Edge> edges;
     edges.reserve(target);
     std::uint64_t attempts = 0;
@@ -121,7 +176,7 @@ Graph rmat(std::uint32_t scale, std::uint32_t edge_factor, double a, double b,
             }
         }
         if (u == v) continue;
-        if (seen.insert(edge_key(u, v)).second) edges.push_back({u, v});
+        if (seen.insert(edge_key(u, v))) edges.push_back({u, v});
     }
     return Graph(n, edges);
 }
@@ -131,7 +186,7 @@ Graph watts_strogatz(std::uint32_t n, std::uint32_t k, double beta, Rng& rng) {
     SCGNN_CHECK(n > k, "need more nodes than the lattice degree");
     SCGNN_CHECK(beta >= 0.0 && beta <= 1.0, "beta must be a probability");
 
-    std::unordered_set<std::uint64_t> seen;
+    EdgeKeySet seen;
     std::vector<Edge> edges;
     edges.reserve(static_cast<std::size_t>(n) * k / 2);
     // Ring lattice: node u connects to u+1 .. u+k/2 (mod n).
@@ -143,13 +198,13 @@ Graph watts_strogatz(std::uint32_t n, std::uint32_t k, double beta, Rng& rng) {
                 // keep the lattice edge when no spot is free quickly.
                 for (int attempt = 0; attempt < 16; ++attempt) {
                     const auto w = static_cast<std::uint32_t>(rng.uniform_u64(n));
-                    if (w != u && !seen.count(edge_key(u, w))) {
+                    if (w != u && !seen.contains(edge_key(u, w))) {
                         v = w;
                         break;
                     }
                 }
             }
-            if (v != u && seen.insert(edge_key(u, v)).second)
+            if (v != u && seen.insert(edge_key(u, v)))
                 edges.push_back({u, v});
         }
     }
@@ -198,8 +253,7 @@ Graph planted_partition(const PlantedPartitionSpec& spec, Rng& rng,
 
     const auto target =
         static_cast<std::uint64_t>(spec.avg_degree * n / 2.0);
-    std::unordered_set<std::uint64_t> seen;
-    seen.reserve(target * 2);
+    EdgeKeySet seen(target);
     std::vector<Edge> edges;
     edges.reserve(target);
 
@@ -216,7 +270,7 @@ Graph planted_partition(const PlantedPartitionSpec& spec, Rng& rng,
             if (community[v] == community[u] && k > 1) continue;
         }
         if (u == v) continue;
-        if (seen.insert(edge_key(u, v)).second) edges.push_back({u, v});
+        if (seen.insert(edge_key(u, v))) edges.push_back({u, v});
     }
 
     if (community_out) *community_out = std::move(community);

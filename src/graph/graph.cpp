@@ -6,23 +6,40 @@
 namespace scgnn::graph {
 
 Graph::Graph(std::uint32_t num_nodes, std::span<const Edge> edges) : n_(num_nodes) {
-    std::vector<std::pair<std::uint32_t, std::uint32_t>> dir;
-    dir.reserve(edges.size() * 2);
+    // Counting sort by row: count both directions of every edge, scatter
+    // them through per-row cursors, then sort and deduplicate each row in
+    // place while compacting the rows to the front of adj_.
+    ptr_.assign(static_cast<std::size_t>(n_) + 1, 0);
     for (const Edge& e : edges) {
         SCGNN_CHECK(e.u < n_ && e.v < n_, "edge endpoint out of range");
         SCGNN_CHECK(e.u != e.v, "self-loops are not allowed");
-        dir.emplace_back(e.u, e.v);
-        dir.emplace_back(e.v, e.u);
+        ++ptr_[e.u + 1];
+        ++ptr_[e.v + 1];
     }
-    std::sort(dir.begin(), dir.end());
-    dir.erase(std::unique(dir.begin(), dir.end()), dir.end());
-
-    ptr_.assign(n_ + 1, 0);
-    adj_.resize(dir.size());
-    for (const auto& [u, v] : dir) ++ptr_[u + 1];
     for (std::uint32_t u = 0; u < n_; ++u) ptr_[u + 1] += ptr_[u];
+    adj_.resize(ptr_[n_]);
     std::vector<std::uint64_t> cursor(ptr_.begin(), ptr_.end() - 1);
-    for (const auto& [u, v] : dir) adj_[cursor[u]++] = v;
+    for (const Edge& e : edges) {
+        adj_[cursor[e.u]++] = e.v;
+        adj_[cursor[e.v]++] = e.u;
+    }
+    std::uint64_t lo = 0, out = 0;
+    for (std::uint32_t u = 0; u < n_; ++u) {
+        const std::uint64_t hi = ptr_[u + 1];
+        const auto first = adj_.begin() + static_cast<std::ptrdiff_t>(lo);
+        const auto last = adj_.begin() + static_cast<std::ptrdiff_t>(hi);
+        std::sort(first, last);
+        const auto kept = std::unique(first, last);
+        if (out != lo)
+            std::copy(first, kept, adj_.begin() + static_cast<std::ptrdiff_t>(out));
+        out += static_cast<std::uint64_t>(kept - first);
+        ptr_[u + 1] = out;
+        lo = hi;
+    }
+    if (out != adj_.size()) {
+        adj_.resize(out);
+        adj_.shrink_to_fit();
+    }
 }
 
 bool Graph::has_edge(std::uint32_t u, std::uint32_t v) const {

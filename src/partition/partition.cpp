@@ -5,6 +5,8 @@
 #include <numeric>
 #include <queue>
 
+#include "scgnn/obs/trace.hpp"
+
 namespace scgnn::partition {
 namespace {
 
@@ -200,6 +202,7 @@ Partitioning node_cut(const graph::Graph& g, std::uint32_t num_parts, Rng& rng) 
 
 Partitioning make_partitioning(PartitionAlgo algo, const graph::Graph& g,
                                std::uint32_t num_parts, std::uint64_t seed) {
+    SCGNN_TRACE_SPAN("partition.make");
     Rng rng(seed);
     switch (algo) {
         case PartitionAlgo::kRandomCut: return random_cut(g, num_parts, rng);

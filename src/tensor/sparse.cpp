@@ -10,14 +10,20 @@ namespace scgnn::tensor {
 SparseMatrix::SparseMatrix(std::size_t rows, std::size_t cols,
                            std::vector<Triplet> triplets)
     : rows_(rows), cols_(cols) {
-    for (const auto& t : triplets) {
+    const auto before = [](const Triplet& a, const Triplet& b) {
+        return a.row != b.row ? a.row < b.row : a.col < b.col;
+    };
+    // Builders that emit rows in order skip the sort. Only strictly
+    // increasing keys take that path: with no duplicate present, the order
+    // in which duplicates are summed can never depend on it.
+    bool ascending = true;
+    for (std::size_t i = 0; i < triplets.size(); ++i) {
+        const Triplet& t = triplets[i];
         SCGNN_CHECK(t.row < rows_, "triplet row out of range");
         SCGNN_CHECK(t.col < cols_, "triplet col out of range");
+        if (i > 0 && !before(triplets[i - 1], t)) ascending = false;
     }
-    std::sort(triplets.begin(), triplets.end(),
-              [](const Triplet& a, const Triplet& b) {
-                  return a.row != b.row ? a.row < b.row : a.col < b.col;
-              });
+    if (!ascending) std::sort(triplets.begin(), triplets.end(), before);
 
     ptr_.assign(rows_ + 1, 0);
     col_.reserve(triplets.size());

@@ -5,7 +5,10 @@
 // behaviour.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <vector>
 
 #include "scgnn/common/rng.hpp"
 #include "scgnn/gnn/adjacency.hpp"
@@ -72,6 +75,60 @@ TEST(Adjacency, RowMeanRowsSumToOneWithAndWithoutSelfLoop) {
             double row_sum = 0.0;
             for (const float v : a.row_vals(u)) row_sum += v;
             EXPECT_NEAR(row_sum, 1.0, 1e-5);
+        }
+    }
+}
+
+/// The historical triplet assembly: self-loop first, then the neighbours,
+/// so most rows arrive out of order and the triplet constructor sorts.
+tensor::SparseMatrix triplet_reference(const graph::Graph& g, AdjNorm norm,
+                                       SelfLoop self) {
+    const std::uint32_t n = g.num_nodes();
+    const bool with_self = self == SelfLoop::kAdd ||
+                           (self == SelfLoop::kAuto && norm != AdjNorm::kSum);
+    std::vector<double> deg(n);
+    for (std::uint32_t u = 0; u < n; ++u)
+        deg[u] = static_cast<double>(g.degree(u)) + (with_self ? 1.0 : 0.0);
+    auto weight = [&](std::uint32_t r, std::uint32_t c) -> float {
+        if (norm == AdjNorm::kSum) return 1.0f;
+        if (norm == AdjNorm::kSymmetric)
+            return static_cast<float>(1.0 / std::sqrt(deg[r] * deg[c]));
+        return static_cast<float>(1.0 / deg[r]);
+    };
+    std::vector<tensor::Triplet> trips;
+    for (std::uint32_t u = 0; u < n; ++u) {
+        if (with_self) trips.push_back({u, u, weight(u, u)});
+        for (std::uint32_t v : g.neighbors(u)) trips.push_back({u, v, weight(u, v)});
+    }
+    return tensor::SparseMatrix(n, n, std::move(trips));
+}
+
+TEST(Adjacency, InOrderAssemblyMatchesTripletReferenceBitwise) {
+    // An isolated node (the last one) and a hub keep both self-loop
+    // placements — first in the row and between neighbours — covered.
+    graph::Graph g = random_graph(60, 240, 11);
+    std::vector<graph::Edge> edges = g.edge_list();
+    for (std::uint32_t v = 1; v < 60; v += 3) edges.push_back({0, v});
+    g = graph::Graph(61, edges);
+    for (const AdjNorm norm :
+         {AdjNorm::kSymmetric, AdjNorm::kRowMean, AdjNorm::kSum}) {
+        for (const SelfLoop self :
+             {SelfLoop::kAuto, SelfLoop::kAdd, SelfLoop::kNone}) {
+            const tensor::SparseMatrix got = normalized_adjacency(g, norm, self);
+            const tensor::SparseMatrix want = triplet_reference(g, norm, self);
+            const auto label = ::testing::Message()
+                               << "norm " << static_cast<int>(norm)
+                               << " self " << static_cast<int>(self);
+            ASSERT_EQ(got.rows(), want.rows()) << label;
+            ASSERT_TRUE(std::ranges::equal(got.row_ptr(), want.row_ptr()))
+                << label;
+            ASSERT_TRUE(std::ranges::equal(got.col_idx(), want.col_idx()))
+                << label;
+            ASSERT_EQ(got.nnz(), want.nnz()) << label;
+            for (std::size_t i = 0; i < got.nnz(); ++i)
+                ASSERT_EQ(std::bit_cast<std::uint32_t>(got.values()[i]),
+                          std::bit_cast<std::uint32_t>(want.values()[i]))
+                    << label << " nonzero " << i;
         }
     }
 }

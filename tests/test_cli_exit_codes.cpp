@@ -51,6 +51,27 @@ const Case kCases[] = {
     {"parts-one", "--parts 1"},
     {"layers-zero", "--layers 0"},
     {"epochs-negative", "--epochs -3"},
+    // Scenario::parse_flag's numeric flags: the whole value must parse
+    // and land in range, checked before the dataset is built.
+    {"retry-max-garbage", "--scale 0.05 --epochs 1 --retry-max xyz"},
+    {"retry-max-zero", "--retry-max 0"},
+    {"threads-garbage", "--threads four"},
+    {"threads-overflow", "--threads 4294967296"},
+    {"threads-negative", "--threads -2"},
+    {"schedule-hold-trailing", "--schedule-hold 3x"},
+    {"warmup-epochs-garbage", "--warmup-epochs many"},
+    {"fault-seed-garbage", "--fault-seed 0x10"},
+    {"fault-drop-one", "--fault-drop 1"},
+    {"fault-drop-garbage", "--fault-drop often"},
+    {"timeout-negative", "--timeout -0.5"},
+    {"batch-size-garbage", "--batch-size 12abc"},
+    {"queries-overflow", "--queries 99999999999"},
+    {"serve-batch-negative", "--serve-batch -4"},
+    {"qps-nan", "--qps nan"},
+    {"deadline-ms-garbage", "--deadline-ms soon"},
+    {"schedule-floor-garbage", "--schedule-floor half"},
+    {"schedule-drift-inf", "--schedule-drift inf"},
+    {"schedule-improve-empty", "--schedule-improve ''"},
 };
 
 class CliExitCode : public ::testing::TestWithParam<Case> {};

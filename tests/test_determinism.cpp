@@ -4,8 +4,14 @@
 // test scale so refactors cannot silently regress the reproduction.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <string>
+#include <vector>
+
 #include "scgnn/common/parallel.hpp"
 #include "scgnn/core/framework.hpp"
+#include "scgnn/core/semantic_compressor.hpp"
+#include "scgnn/dist/factory.hpp"
 #include "scgnn/obs/obs.hpp"
 
 namespace scgnn::core {
@@ -68,6 +74,79 @@ TEST(Determinism, ThreadCountDoesNotChangeAnyResult) {
             EXPECT_EQ(base.train.epoch_metrics[e].loss,
                       r.train.epoch_metrics[e].loss);
     }
+}
+
+/// Every bit of every plan's grouping, plus the fused forward rows and
+/// their byte cost, rendered as one comparable string.
+std::string render_setup(const dist::DistContext& ctx,
+                         dist::BoundaryCompressor& comp,
+                         const SemanticCompressor* sc) {
+    std::string out;
+    auto put = [&](std::uint64_t v) { out += std::to_string(v) + ","; };
+    auto put_f = [&](float v) { put(std::bit_cast<std::uint32_t>(v)); };
+    if (sc != nullptr) {
+        put(sc->total_wire_rows());
+        for (std::size_t pi = 0; pi < ctx.plans().size(); ++pi) {
+            const Grouping& g = sc->grouping(pi);
+            put(g.chosen_k);
+            for (const SemanticGroup& grp : g.groups) {
+                put(static_cast<std::uint64_t>(grp.origin));
+                put(grp.edges);
+                for (auto m : grp.members) put(m);
+                for (auto v : grp.sinks) put(v);
+                for (float w : grp.out_weights) put_f(w);
+                for (float w : grp.in_weights) put_f(w);
+                out += ";";
+            }
+            for (auto r : g.raw_rows) put(r);
+            for (auto r : g.group_of_row) put(static_cast<std::uint64_t>(r));
+            out += "|";
+        }
+    }
+    Rng rng(3);
+    tensor::Matrix dst;
+    comp.begin_epoch(0);
+    for (std::size_t pi = 0; pi < ctx.plans().size(); ++pi) {
+        const tensor::Matrix src =
+            tensor::Matrix::randn(ctx.plans()[pi].num_rows(), 4, rng);
+        put(comp.forward_rows(ctx, pi, 0, src, dst));
+        for (std::size_t i = 0; i < dst.size(); ++i) put_f(dst.data()[i]);
+    }
+    return out;
+}
+
+TEST(Determinism, PlanParallelGroupingIsThreadCountInvariant) {
+    // setup() builds the per-plan groupings in parallel across plans; the
+    // per-plan seeds and the inline nesting of the k-means kernels must
+    // make the result the serial one at any pool width — for the bare
+    // compressor, after a rate-driven regroup, and inside an ef+ stack.
+    const graph::Dataset d =
+        graph::make_dataset(graph::DatasetPreset::kRedditSim, 0.1, 3);
+    const auto parts = partition::make_partitioning(
+        partition::PartitionAlgo::kEdgeCut, d.graph, 6, 5);
+    const dist::DistContext ctx(d, parts, gnn::AdjNorm::kSymmetric);
+    ASSERT_GT(ctx.plans().size(), 8u);
+
+    auto run_at = [&](unsigned threads) {
+        ThreadCountGuard guard(threads);
+        std::vector<std::string> r;
+        SemanticCompressor sc({.grouping = {.kmeans_k = 6}});
+        sc.setup(ctx);
+        r.push_back(render_setup(ctx, sc, &sc));
+        sc.apply_rate(0.6);
+        r.push_back(render_setup(ctx, sc, &sc));
+        dist::CompressorOptions opts;
+        opts.semantic.grouping.kmeans_k = 6;
+        const auto ef = dist::make_compressor("ef+ours", opts);
+        ef->setup(ctx);
+        r.push_back(render_setup(ctx, *ef, nullptr));
+        return r;
+    };
+    const std::vector<std::string> serial = run_at(1);
+    const std::vector<std::string> wide = run_at(4);
+    ASSERT_EQ(serial.size(), wide.size());
+    for (std::size_t i = 0; i < serial.size(); ++i)
+        EXPECT_TRUE(serial[i] == wide[i]) << "stage " << i;
 }
 
 TEST(Determinism, ObservabilityDoesNotPerturbResults) {

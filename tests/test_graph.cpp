@@ -2,7 +2,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
+#include <utility>
+#include <vector>
 
+#include "scgnn/common/rng.hpp"
 #include "scgnn/graph/graph.hpp"
 
 namespace scgnn::graph {
@@ -123,6 +127,36 @@ TEST(InducedSubgraph, LocalIdsMatchMapping) {
     EXPECT_TRUE(sub.has_edge(0, 1));
     EXPECT_EQ(mapping[0], 1u);
     EXPECT_EQ(mapping[1], 3u);
+}
+
+TEST(Graph, CsrMatchesSetReferenceOnDuplicatedAndReversedEdges) {
+    // Every edge appears up to three times, in either orientation; the CSR
+    // must list each row's neighbours once, ascending.
+    Rng rng(5);
+    const std::uint32_t n = 50;
+    std::vector<Edge> edges;
+    std::set<std::pair<std::uint32_t, std::uint32_t>> want;
+    for (int i = 0; i < 300; ++i) {
+        const auto u = static_cast<std::uint32_t>(rng.uniform_u64(n));
+        const auto v = static_cast<std::uint32_t>(rng.uniform_u64(n));
+        if (u == v) continue;
+        const auto copies = 1 + rng.uniform_u64(3);
+        for (std::uint64_t c = 0; c < copies; ++c)
+            edges.push_back(rng.bernoulli(0.5) ? Edge{u, v} : Edge{v, u});
+        want.insert({u, v});
+        want.insert({v, u});
+    }
+    const Graph g(n, edges);
+    EXPECT_EQ(g.num_edges(), want.size() / 2);
+    for (std::uint32_t u = 0; u < n; ++u) {
+        std::vector<std::uint32_t> row;
+        for (auto it = want.lower_bound({u, 0}); it != want.end() && it->first == u;
+             ++it)
+            row.push_back(it->second);
+        const auto nb = g.neighbors(u);
+        EXPECT_EQ(std::vector<std::uint32_t>(nb.begin(), nb.end()), row)
+            << "row " << u;
+    }
 }
 
 } // namespace

@@ -9,12 +9,17 @@
 //   * randomized fault schedules never abort training and keep the
 //     drop/retry/staleness ledgers consistent,
 //   * error feedback is exactly transparent over a lossless inner stage
-//     and its resync budget never exceeds ⌈φ·rows⌉ at any fidelity.
+//     and its resync budget never exceeds ⌈φ·rows⌉ at any fidelity,
+//   * the one-sweep DBG extraction and the DistContext build equal their
+//     per-pair / triplet-sorting references on graphs with isolated nodes
+//     and empty partition pairs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <numeric>
 #include <set>
+#include <utility>
 
 #include "scgnn/core/framework.hpp"
 #include "scgnn/core/semantic_aggregate.hpp"
@@ -23,6 +28,8 @@
 #include "scgnn/dist/error_feedback.hpp"
 #include "scgnn/dist/factory.hpp"
 #include "scgnn/dist/sampler.hpp"
+#include "scgnn/gnn/adjacency.hpp"
+#include "scgnn/graph/bipartite.hpp"
 #include "scgnn/tensor/ops.hpp"
 #include "scgnn/tensor/quantize.hpp"
 
@@ -212,6 +219,113 @@ TEST_P(FuzzSeed, DistContextInvariants) {
         EXPECT_EQ(fed[p].size(), ctx.halo(p).size());
     EXPECT_EQ(plan_edges,
               2 * partition::evaluate(d.graph, parts).cut_edges);
+}
+
+/// A seeded random graph with isolated nodes, and a random assignment to
+/// `parts` partitions of which the last may stay empty.
+std::pair<graph::Graph, std::vector<std::uint32_t>> random_partitioned(
+    Rng& rng, std::uint32_t parts) {
+    const auto n = static_cast<std::uint32_t>(20 + rng.uniform_u64(100));
+    std::vector<bool> isolated(n);
+    for (std::uint32_t u = 0; u < n; ++u) isolated[u] = rng.bernoulli(0.1);
+    std::vector<graph::Edge> edges;
+    const std::uint64_t m = n * (1 + rng.uniform_u64(6));
+    for (std::uint64_t i = 0; i < m; ++i) {
+        const auto u = static_cast<std::uint32_t>(rng.uniform_u64(n));
+        const auto v = static_cast<std::uint32_t>(rng.uniform_u64(n));
+        if (u != v && !isolated[u] && !isolated[v]) edges.push_back({u, v});
+    }
+    const std::uint32_t used = rng.bernoulli(0.3) ? parts - 1 : parts;
+    std::vector<std::uint32_t> part_of(n);
+    for (auto& p : part_of) p = static_cast<std::uint32_t>(rng.uniform_u64(used));
+    return {graph::Graph(n, edges), std::move(part_of)};
+}
+
+TEST_P(FuzzSeed, OneSweepDbgsMatchPerPairExtraction) {
+    Rng rng(GetParam() ^ 0xdb6);
+    for (std::uint32_t parts = 2; parts <= 8; ++parts) {
+        const auto [g, part_of] = random_partitioned(rng, parts);
+        std::vector<graph::Dbg> want;
+        for (std::uint32_t p = 0; p < parts; ++p)
+            for (std::uint32_t q = 0; q < parts; ++q) {
+                if (p == q) continue;
+                graph::Dbg d = graph::extract_dbg(g, part_of, p, q);
+                if (d.num_edges() > 0) want.push_back(std::move(d));
+            }
+        const std::vector<graph::Dbg> got =
+            graph::extract_all_dbgs(g, part_of, parts);
+        ASSERT_EQ(got.size(), want.size()) << "P=" << parts;
+        for (std::size_t i = 0; i < got.size(); ++i) {
+            EXPECT_EQ(got[i].src_part, want[i].src_part);
+            EXPECT_EQ(got[i].dst_part, want[i].dst_part);
+            EXPECT_EQ(got[i].src_nodes, want[i].src_nodes);
+            EXPECT_EQ(got[i].dst_nodes, want[i].dst_nodes);
+            EXPECT_EQ(got[i].ptr, want[i].ptr);
+            EXPECT_EQ(got[i].adj, want[i].adj);
+        }
+    }
+}
+
+TEST_P(FuzzSeed, DistContextMatchesReferenceBuild) {
+    Rng rng(GetParam() ^ 0xc7c);
+    for (std::uint32_t parts = 2; parts <= 8; parts += 3) {
+        auto [g, part_of] = random_partitioned(rng, parts);
+        graph::Dataset d;
+        d.graph = std::move(g);
+        d.features = tensor::Matrix(d.graph.num_nodes(), 2);
+        partition::Partitioning pt;
+        pt.num_parts = parts;
+        pt.part_of = part_of;
+        const dist::DistContext ctx(d, pt, gnn::AdjNorm::kSymmetric);
+        const tensor::SparseMatrix adj =
+            gnn::normalized_adjacency(d.graph, gnn::AdjNorm::kSymmetric);
+        for (std::uint32_t p = 0; p < parts; ++p) {
+            // Halo: sorted unique remote neighbours; local rows through the
+            // triplet constructor's sorting path.
+            std::vector<std::uint32_t> halo;
+            for (std::uint32_t u : ctx.local_nodes(p))
+                for (std::uint32_t v : d.graph.neighbors(u))
+                    if (part_of[v] != p) halo.push_back(v);
+            std::sort(halo.begin(), halo.end());
+            halo.erase(std::unique(halo.begin(), halo.end()), halo.end());
+            const auto h = ctx.halo(p);
+            ASSERT_EQ(std::vector<std::uint32_t>(h.begin(), h.end()), halo);
+            const auto n_local =
+                static_cast<std::uint32_t>(ctx.local_nodes(p).size());
+            std::vector<tensor::Triplet> trips;
+            for (std::uint32_t i = 0; i < n_local; ++i) {
+                const std::uint32_t gu = ctx.local_nodes(p)[i];
+                const auto cols = adj.row_cols(gu);
+                for (std::size_t e = 0; e < cols.size(); ++e) {
+                    const std::uint32_t gv = cols[e];
+                    const std::uint32_t col =
+                        part_of[gv] == p
+                            ? ctx.local_index(gv)
+                            : n_local + static_cast<std::uint32_t>(
+                                            std::lower_bound(halo.begin(),
+                                                             halo.end(), gv) -
+                                            halo.begin());
+                    trips.push_back({i, col, adj.row_vals(gu)[e]});
+                }
+            }
+            std::reverse(trips.begin(), trips.end());
+            const tensor::SparseMatrix want(n_local, n_local + halo.size(),
+                                            std::move(trips));
+            const tensor::SparseMatrix& got = ctx.local_adj(p);
+            ASSERT_TRUE(std::ranges::equal(got.row_ptr(), want.row_ptr()));
+            ASSERT_TRUE(std::ranges::equal(got.col_idx(), want.col_idx()));
+            ASSERT_TRUE(std::ranges::equal(got.values(), want.values()));
+        }
+        for (const dist::PairPlan& plan : ctx.plans()) {
+            const auto h = ctx.halo(plan.dst_part);
+            for (std::size_t r = 0; r < plan.num_rows(); ++r) {
+                const std::uint32_t gu = plan.dbg.src_nodes[r];
+                EXPECT_EQ(plan.src_local_rows[r], ctx.local_index(gu));
+                EXPECT_EQ(plan.dst_halo_slots[r],
+                          std::lower_bound(h.begin(), h.end(), gu) - h.begin());
+            }
+        }
+    }
 }
 
 TEST_P(FuzzSeed, ErrorFeedbackLosslessInnerIsTransparent) {
